@@ -48,7 +48,6 @@ from .hardware import (
     catalog_gammas,
     quantize_gamma,
     reflection_coefficient,
-    stage_impedance,
 )
 from .power import (
     BusTransfer,
@@ -65,10 +64,10 @@ from .synthesis import (
     NoPairsError,
     PairSolution,
     SingularPairingError,
+    configure,
     configure_coded,
     configure_synthetic,
     quantize_assignment,
-    scale_to_passive,
     solve_pair,
 )
 

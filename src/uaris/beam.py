@@ -25,7 +25,7 @@ import numpy as np
 from .core import PlaneWave
 from .geometry import ArrayGeometry
 from .hardware import HardwareCatalog
-from .synthesis import GammaAssignment, configure_coded, configure_synthetic
+from .synthesis import GammaAssignment, configure
 
 __all__ = [
     "NoLobesError",
@@ -208,14 +208,12 @@ def _interp_crossing(x0, y0, x1, y1, level) -> float:
     return x0 + (level - y0) * (x1 - x0) / (y1 - y0)
 
 
-def beam_metrics(
-    pattern: BeamPattern, side_lobe_floor: float = DEFAULT_SIDE_LOBE_FLOOR
-) -> BeamMetrics:
+def beam_metrics(pattern: BeamPattern) -> BeamMetrics:
     """Extract main lobe, side lobes, and half-power beamwidth.
 
     The main lobe is the global maximum of the sweep (first index on exact
     ties). Side lobes are the interior local maxima of the normalized
-    magnitude above ``side_lobe_floor``.
+    magnitude at or above ``DEFAULT_SIDE_LOBE_FLOOR``.
 
     :raises NoLobesError: for a flat pattern, or when the half-power level is
         never crossed inside the sweep (main lobe clipped at the edge)
@@ -230,7 +228,11 @@ def beam_metrics(
     for i in range(1, len(norm) - 1):
         if i == imax:
             continue
-        if norm[i] > norm[i - 1] and norm[i] > norm[i + 1] and norm[i] >= side_lobe_floor:
+        if (
+            norm[i] > norm[i - 1]
+            and norm[i] > norm[i + 1]
+            and norm[i] >= DEFAULT_SIDE_LOBE_FLOOR
+        ):
             side.append((float(angles[i]), float(norm[i])))
     side.sort(key=lambda t: (-t[1], t[0]))
 
@@ -268,12 +270,6 @@ class SchemeComparison:
         }
 
 
-def _configure(scheme, geometry, incident, target_dir, catalog):
-    if scheme == "synthetic":
-        return configure_synthetic(geometry, incident, target_dir, catalog=catalog)
-    return configure_coded(geometry, incident, target_dir, scheme)
-
-
 def compare_schemes(
     geometry: ArrayGeometry,
     incident: PlaneWave,
@@ -282,7 +278,6 @@ def compare_schemes(
     plane: str = "yz",
     angles_deg=None,
     catalog: HardwareCatalog | None = None,
-    side_lobe_floor: float = DEFAULT_SIDE_LOBE_FLOOR,
 ) -> SchemeComparison:
     """Configure, sweep, and measure several schemes on identical grids.
 
@@ -306,10 +301,10 @@ def compare_schemes(
     patterns: dict[str, BeamPattern] = {}
     metrics: dict[str, BeamMetrics] = {}
     for key, label in zip(keys, labels):
-        assignment = _configure(label, geometry, incident, target_dir, catalog)
+        assignment = configure(label, geometry, incident, target_dir, catalog)
         pattern = array_factor(geometry, assignment, incident, plane, angles_deg)
         patterns[key] = pattern
-        metrics[key] = beam_metrics(pattern, side_lobe_floor)
+        metrics[key] = beam_metrics(pattern)
     deltas: dict[str, dict[str, float]] = {}
     for a in keys:
         for b in keys:

@@ -42,6 +42,7 @@ __all__ = [
 ]
 
 DEFAULT_SAMPLES_PER_CYCLE = 16
+_BISECTION_RESIDUAL_DB = 1e-9
 
 
 @dataclass(frozen=True)
@@ -340,14 +341,14 @@ def _one_way_loss_gain_db(r_km: float, params: LinkBudgetParams) -> float:
     ) + params.beta_db_per_km * (r_km - params.r_x_km)
 
 
-def range_extension(params: LinkBudgetParams, residual_db: float = 1e-9) -> float:
+def range_extension(params: LinkBudgetParams) -> float:
     """Extended range r_y >= r_x whose extra spreading-plus-absorption loss
     equals the available SNR gain.
 
     Solves ``10*alpha*(log10(r_y) - log10(r_x)) + beta*(r_y - r_x) = dSNR``
     by bisection: the left-hand side is strictly increasing in ``r_y``, the
     bracket grows geometrically from [r_x, 2*r_x], and iteration stops when
-    the residual falls below ``residual_db``.
+    the residual falls below ``_BISECTION_RESIDUAL_DB``.
 
     :raises ValueError: for negative SNR gain (range shrinkage is not modeled)
     """
@@ -363,7 +364,7 @@ def range_extension(params: LinkBudgetParams, residual_db: float = 1e-9) -> floa
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         res = _one_way_loss_gain_db(mid, params) - d
-        if abs(res) < residual_db:
+        if abs(res) < _BISECTION_RESIDUAL_DB:
             return mid
         if res < 0:
             lo = mid

@@ -50,14 +50,7 @@ from .power import (
     write_reference_csv,
 )
 from .scenario import Scenario, ScenarioError, load_scenario
-from .synthesis import (
-    GammaAssignment,
-    NoPairsError,
-    SingularPairingError,
-    configure_coded,
-    configure_synthetic,
-    quantize_assignment,
-)
+from .synthesis import NoPairsError, SingularPairingError, configure
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -78,40 +71,27 @@ def _warn_ignored(scenario: Scenario, used: tuple[str, ...]) -> None:
         print(f"warning: scenario section '{name}' is not used by this command", file=sys.stderr)
 
 
-def _configure_assignment(scenario: Scenario, quantize: bool) -> GammaAssignment:
-    if quantize and scenario.catalog is None:
+def _quantize_catalog(scenario: Scenario, quantize: bool):
+    """The catalog to quantize onto, or None without ``--quantize``."""
+    if not quantize:
+        return None
+    if scenario.catalog is None:
         raise ScenarioError("catalog", "required with --quantize")
-    geometry = scenario.geometry
-    incident = scenario.incident_wave
-    if scenario.scheme == "synthetic":
-        return configure_synthetic(
-            geometry,
-            incident,
-            scenario.target_dir,
-            catalog=scenario.catalog if quantize else None,
-        )
-    if scenario.scheme in ("1bit", "2bit"):
-        assignment = configure_coded(geometry, incident, scenario.target_dir, scenario.scheme)
-    else:  # explicit
-        missing = set(geometry.ids) - set(scenario.gammas)
-        if missing:
-            raise ScenarioError("gammas", f"missing element ids {sorted(missing)}")
-        extra = set(scenario.gammas) - set(geometry.ids)
-        if extra:
-            raise ScenarioError("gammas", f"unknown element ids {sorted(extra)}")
-        assignment = GammaAssignment(
-            {i: scenario.gammas[i] for i in geometry.ids}, "explicit"
-        )
-    if quantize:
-        assignment = quantize_assignment(assignment, scenario.catalog, scenario.frequency_hz)
-    return assignment
+    return scenario.catalog
 
 
 def _cmd_steer(scenario: Scenario, out: Path, args) -> int:
     _warn_ignored(scenario, ("link", "power"))
-    assignment = _configure_assignment(scenario, args.quantize)
     geometry = scenario.geometry
     incident = scenario.incident_wave
+    assignment = configure(
+        scenario.scheme,
+        geometry,
+        incident,
+        scenario.target_dir,
+        _quantize_catalog(scenario, args.quantize),
+        scenario.gammas,
+    )
     angles = scenario.sweep.angles_deg
     pattern = array_factor(geometry, assignment, incident, scenario.sweep.plane, angles)
     pattern.write_csv(out / "pattern.csv")
@@ -134,6 +114,13 @@ def _cmd_steer(scenario: Scenario, out: Path, args) -> int:
 def _cmd_compare(scenario: Scenario, out: Path, args) -> int:
     _warn_ignored(scenario, ())
     schemes = [s.strip() for s in args.schemes.split(",") if s.strip()]
+    if "explicit" in schemes and scenario.gammas is None:
+        raise ScenarioError("gammas", "required for the explicit scheme")
+    rejected = [s for s in schemes if s not in ("synthetic", "1bit", "2bit")]
+    if rejected:
+        raise ScenarioError("--schemes", f"compare takes synthetic, 1bit, 2bit; got {rejected}")
+    if len(schemes) < 2:
+        raise ScenarioError("--schemes", "comparison needs at least 2 schemes")
     comparison = compare_schemes(
         scenario.geometry,
         scenario.incident_wave,
@@ -141,7 +128,7 @@ def _cmd_compare(scenario: Scenario, out: Path, args) -> int:
         schemes,
         plane=scenario.sweep.plane,
         angles_deg=scenario.sweep.angles_deg,
-        catalog=scenario.catalog if args.quantize else None,
+        catalog=_quantize_catalog(scenario, args.quantize),
     )
     _dump_json(comparison.to_json(), out / "comparison.json")
     for label, pattern in comparison.patterns.items():
@@ -287,7 +274,7 @@ def _cmd_power(scenario: Scenario, out: Path, args) -> int:
 def _cmd_catalog(scenario: Scenario, out: Path, args) -> int:
     _warn_ignored(scenario, ())
     catalog = scenario.catalog or HardwareCatalog()
-    entries = catalog_gammas(catalog, scenario.frequency_hz)
+    entries = catalog_gammas(catalog)
     if args.format == "json":
         doc = [
             {"state": state.label, "re": g.real, "im": g.imag, "magnitude": abs(g)}
@@ -343,6 +330,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Deterministic reflector-array beam steering and link simulator",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    subs = {}
     for name, help_text in (
         ("steer", "configure one scheme and sweep its beam pattern"),
         ("compare", "compare schemes on identical sweeps"),
@@ -351,22 +339,21 @@ def _build_parser() -> argparse.ArgumentParser:
         ("power", "energy report with reference-measurement deviations"),
         ("catalog", "list realizable reflection coefficients"),
     ):
-        p = sub.add_parser(name, help=help_text)
+        p = subs[name] = sub.add_parser(name, help=help_text)
         p.add_argument("--scenario", required=True, help="scenario JSON file")
         p.add_argument("--out", required=True, help="output directory (created if absent)")
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument(
+    for name in ("steer", "compare"):
+        subs[name].add_argument(
             "--quantize", action="store_true", help="apply the hardware catalog"
         )
-        p.add_argument(
-            "--seed", type=int, default=0, help="seed for test utilities (random taps)"
-        )
-        if name == "compare":
-            p.add_argument(
-                "--schemes", default="synthetic,1bit", help="comma-separated scheme list"
-            )
-        if name == "tank":
-            p.add_argument("--wav", action="store_true", help="also write WAV renders")
+    subs["compare"].add_argument(
+        "--schemes", default="synthetic,1bit", help="comma-separated scheme list"
+    )
+    subs["tank"].add_argument(
+        "--seed", type=int, default=0, help="seed for test utilities (random taps)"
+    )
+    subs["tank"].add_argument("--wav", action="store_true", help="also write WAV renders")
+    subs["catalog"].add_argument("--format", choices=("csv", "json"), default="csv")
     return parser
 
 

@@ -6,15 +6,13 @@ characteristic impedance ``z0`` and switched between a programmable
 potentiometer (real-axis reflection coefficients), three capacitive stages
 (coefficients on the -j axis), three inductive stages (+j axis), and the
 open/short extremes. Reactive stages are described by their nominal
-reflection coefficients; component-level studies go through the series-RC /
-series-RL / explicit-impedance states.
+reflection coefficients, so the catalog does not depend on frequency.
 """
 
 from __future__ import annotations
 
 import cmath
 import json
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -22,7 +20,6 @@ __all__ = [
     "LoadState",
     "HardwareCatalog",
     "reflection_coefficient",
-    "stage_impedance",
     "catalog_gammas",
     "quantize_gamma",
 ]
@@ -33,9 +30,6 @@ _STATE_KINDS = (
     "potentiometer",
     "cap_stage",
     "ind_stage",
-    "series_rc",
-    "series_rl",
-    "explicit",
 )
 
 
@@ -45,25 +39,21 @@ class LoadState:
 
     Each stage is switched through a back-to-back NMOS pair so the load can
     carry the AC signal in both half-cycles; switching transients are not
-    modeled. ``value`` and ``value2`` hold the state parameters:
+    modeled. ``value`` holds the state parameter:
 
-    ==============  =======================  ==========
-    kind            value                    value2
-    ==============  =======================  ==========
-    open / short    --                       --
-    potentiometer   total resistance (ohm,   --
+    ==============  =======================
+    kind            value
+    ==============  =======================
+    open / short    --
+    potentiometer   total resistance (ohm,
                     wiper included)
-    cap_stage       stage index 1..3         --
-    ind_stage       stage index 1..3         --
-    series_rc       resistance (ohm)         capacitance (F)
-    series_rl       resistance (ohm)         inductance (H)
-    explicit        complex impedance (ohm)  --
-    ==============  =======================  ==========
+    cap_stage       stage index 1..3
+    ind_stage       stage index 1..3
+    ==============  =======================
     """
 
     kind: str
-    value: complex | float | int | None = None
-    value2: float | None = None
+    value: float | int | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in _STATE_KINDS:
@@ -95,21 +85,9 @@ class LoadState:
     def inductive(cls, index: int) -> "LoadState":
         return cls("ind_stage", index)
 
-    @classmethod
-    def series_rc(cls, resistance_ohm: float, capacitance_f: float) -> "LoadState":
-        return cls("series_rc", float(resistance_ohm), float(capacitance_f))
-
-    @classmethod
-    def series_rl(cls, resistance_ohm: float, inductance_h: float) -> "LoadState":
-        return cls("series_rl", float(resistance_ohm), float(inductance_h))
-
-    @classmethod
-    def explicit(cls, impedance_ohm: complex) -> "LoadState":
-        return cls("explicit", complex(impedance_ohm))
-
     @property
     def is_reactive(self) -> bool:
-        return self.kind in ("cap_stage", "ind_stage", "series_rc", "series_rl")
+        return self.kind in ("cap_stage", "ind_stage")
 
     @property
     def label(self) -> str:
@@ -122,13 +100,7 @@ class LoadState:
             return f"R{self.value:g}"
         if self.kind == "cap_stage":
             return f"C{0.3 * self.value:.1f}"
-        if self.kind == "ind_stage":
-            return f"L{0.3 * self.value:.1f}"
-        if self.kind == "series_rc":
-            return f"RC({self.value:g} ohm, {self.value2:g} F)"
-        if self.kind == "series_rl":
-            return f"RL({self.value:g} ohm, {self.value2:g} H)"
-        return f"Z({self.value})"
+        return f"L{0.3 * self.value:.1f}"
 
 
 def _default_cap_gammas() -> tuple[complex, ...]:
@@ -229,28 +201,6 @@ def reflection_coefficient(z_load: complex, z0: float) -> complex:
     return (zl - z0) / den
 
 
-def stage_impedance(stage: LoadState, frequency_hz: float) -> complex:
-    """Series impedance of a component-described load stage at a frequency.
-
-    Supported kinds: ``potentiometer`` (pure real), ``series_rc``
-    (R - j/(2*pi*f*C)), ``series_rl`` (R + j*2*pi*f*L), and ``explicit``.
-    Open/short are resolved directly by :func:`reflection_coefficient`;
-    nominal ``cap_stage``/``ind_stage`` states are defined by their catalog
-    coefficients rather than component values.
-    """
-    if frequency_hz <= 0:
-        raise ValueError(f"frequency must be positive, got {frequency_hz}")
-    if stage.kind == "potentiometer":
-        return complex(float(stage.value.real))
-    if stage.kind == "series_rc":
-        return complex(stage.value) - 1j / (2.0 * math.pi * frequency_hz * stage.value2)
-    if stage.kind == "series_rl":
-        return complex(stage.value) + 1j * 2.0 * math.pi * frequency_hz * stage.value2
-    if stage.kind == "explicit":
-        return complex(stage.value)
-    raise ValueError(f"load state {stage.label!r} has no component-level impedance")
-
-
 def _potentiometer_resistances(catalog: HardwareCatalog) -> list[float]:
     """Linear tap grid over the realizable total-resistance range.
 
@@ -266,15 +216,11 @@ def _potentiometer_resistances(catalog: HardwareCatalog) -> list[float]:
     return sorted(grid)
 
 
-def catalog_gammas(
-    catalog: HardwareCatalog, frequency_hz: float
-) -> list[tuple[LoadState, complex]]:
+def catalog_gammas(catalog: HardwareCatalog) -> list[tuple[LoadState, complex]]:
     """Enumerate every realizable (load state, reflection coefficient) pair.
 
     Comprises the open and short extremes, the nominal reactive stages, and
-    the potentiometer tap grid. ``frequency_hz`` is accepted for interface
-    symmetry with component-level load descriptions; the nominal catalog is
-    frequency-independent.
+    the potentiometer tap grid.
     """
     entries: list[tuple[LoadState, complex]] = [
         (LoadState.open_circuit(), complex(1.0)),
@@ -291,9 +237,7 @@ def catalog_gammas(
     return entries
 
 
-def quantize_gamma(
-    target: complex, catalog: HardwareCatalog, frequency_hz: float
-) -> tuple[LoadState, complex]:
+def quantize_gamma(target: complex, catalog: HardwareCatalog) -> tuple[LoadState, complex]:
     """Nearest realizable load state to a target reflection coefficient.
 
     Any complex target is accepted; over-unity requests clip onto the catalog
@@ -303,7 +247,7 @@ def quantize_gamma(
     """
     target = complex(target)
     best = None
-    for idx, (state, gamma) in enumerate(catalog_gammas(catalog, frequency_hz)):
+    for idx, (state, gamma) in enumerate(catalog_gammas(catalog)):
         key = (abs(gamma - target), abs(gamma), state.is_reactive, idx)
         if best is None or key < best[0]:
             best = (key, state, gamma)

@@ -20,7 +20,7 @@ with their deviation instead.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 __all__ = [
     "PowerConfig",
@@ -233,16 +233,7 @@ def reference_deviation_report(config: PowerConfig | None = None) -> list[dict]:
     base = config if config is not None else PowerConfig()
     rows: list[dict] = []
     for cell in REFERENCE_ACTIVE_MODE_ENERGY:
-        cfg = PowerConfig(
-            vcc=cell.vcc,
-            mcu_standby_current_a=base.mcu_standby_current_a,
-            extender_standby_current_a=base.extender_standby_current_a,
-            extender_count=base.extender_count,
-            potentiometer_standby_current_a=base.potentiometer_standby_current_a,
-            potentiometer_count=base.potentiometer_count,
-            peak_power_by_vcc=base.peak_power_by_vcc,
-            maintain_power_by_vcc=base.maintain_power_by_vcc,
-        )
+        cfg = replace(base, vcc=cell.vcc)
         if cell.phase == "I":
             transfer = (
                 BusTransfer.i2c(baud=cell.baud)

@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -102,7 +103,7 @@ class Scenario:
     def wavelength_m(self) -> float:
         return self.sound_speed_mps / self.frequency_hz
 
-    @property
+    @cached_property
     def geometry(self) -> ArrayGeometry:
         return ArrayGeometry.from_json(self.array_doc, wavelength_m=self.wavelength_m)
 
@@ -253,8 +254,18 @@ def _parse_scenario(doc: dict) -> Scenario:
             except ValueError:
                 raise ScenarioError(f"gammas.{key}", "element id must be an integer") from None
             gammas[eid] = _parse_complex(val, f"gammas.{key}")
-    if scheme == "explicit" and gammas is None:
-        raise ScenarioError("gammas", "required when scheme is 'explicit'")
+    if scheme == "explicit":
+        if gammas is None:
+            raise ScenarioError("gammas", "required when scheme is 'explicit'")
+        if "positions" in array_doc:
+            ids = set(array_doc.get("ids", range(len(array_doc["positions"]))))
+        else:
+            ids = set(range(array_doc["rows"] * array_doc["cols"]))
+        missing, extra = ids - set(gammas), set(gammas) - ids
+        if missing:
+            raise ScenarioError("gammas", f"missing element ids {sorted(missing)}")
+        if extra:
+            raise ScenarioError("gammas", f"unknown element ids {sorted(extra)}")
 
     link = None
     if "link" in doc:

@@ -1,6 +1,7 @@
 """Per-element reflection-coefficient synthesis.
 
-Two families of steering configurations are produced:
+Two families of steering configurations are produced, both reached through
+:func:`configure`:
 
 * the synthesized-pair scheme: elements on a common reflected wavefront are
   paired, the first member reflects a real (in-phase/antiphase) component and
@@ -14,7 +15,9 @@ The pair solve is defined by the substitution identity
 
 split into real and imaginary parts and solved by Cramer's rule on the
 resulting real 2x2 system. The system is singular when the two basis phasors
-are colinear, i.e. when cos(phi1 - phi2) vanishes.
+are colinear, i.e. when cos(phi1 - phi2) vanishes. Solved pairs are scaled
+onto the passive bound globally, by the worst component over all pairs, so
+the designed wavefront is preserved.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ __all__ = [
     "PairSolution",
     "GammaAssignment",
     "solve_pair",
-    "scale_to_passive",
+    "configure",
     "configure_synthetic",
     "configure_coded",
     "quantize_assignment",
@@ -61,13 +64,11 @@ class PairSolution:
     """Amplitudes of one synthesized pair.
 
     ``a1`` drives the real-axis (in-phase/antiphase) member, ``a2`` the
-    quadrature member; both carry sign. ``scale_applied`` records the
-    passivity scaling factor (1 when no scaling was needed).
+    quadrature member; both carry sign.
     """
 
     a1: float
     a2: float
-    scale_applied: float = 1.0
 
 
 def solve_pair(
@@ -97,22 +98,7 @@ def solve_pair(
     amp = target_amplitude
     det1 = amp * math.cos(phi_r) * math.cos(phi2) + math.sin(phi2) * amp * math.sin(phi_r)
     det2 = math.cos(phi1) * amp * math.sin(phi_r) - math.sin(phi1) * amp * math.cos(phi_r)
-    return PairSolution(det1 / det, det2 / det, 1.0)
-
-
-def scale_to_passive(a1: float, a2: float, gamma_max: float) -> PairSolution:
-    """Shrink a pair solution onto the passive-hardware bound.
-
-    If either amplitude exceeds ``gamma_max`` both are scaled by the same
-    factor, which preserves the argument of the pair's combined phasor.
-    """
-    if not 0 < gamma_max <= 1:
-        raise ValueError(f"gamma_max must be in (0, 1], got {gamma_max}")
-    worst = max(abs(a1), abs(a2))
-    if worst <= gamma_max:
-        return PairSolution(a1, a2, 1.0)
-    s = gamma_max / worst
-    return PairSolution(a1 * s, a2 * s, s)
+    return PairSolution(det1 / det, det2 / det)
 
 
 @dataclass(frozen=True)
@@ -161,8 +147,6 @@ def configure_synthetic(
     incident: PlaneWave,
     target_dir,
     catalog: HardwareCatalog | None = None,
-    gamma_max: float | None = None,
-    pair_amplitudes: dict[tuple[int, int], float] | None = None,
 ) -> GammaAssignment:
     """Steering configuration under the synthesized-pair scheme.
 
@@ -180,16 +164,13 @@ def configure_synthetic(
     bound; they are listed in ``unpaired``.
 
     :param catalog: when given, every coefficient is additionally quantized
-        onto the hardware states
-    :param gamma_max: passivity bound; defaults to the catalog's bound or 0.9
-    :param pair_amplitudes: optional per-pair taper weights (default uniform)
+        onto the hardware states; its ``gamma_max`` is the passivity bound
+        (default 0.9, the default catalog's)
     :raises NoPairsError: when pairing yields no pairs at all
     :raises SingularPairingError: when a pair's incident phases are in
         quadrature (carries the offending pair ids)
     """
-    gmax = gamma_max if gamma_max is not None else (catalog.gamma_max if catalog else 0.9)
-    if not 0 < gmax <= 1:
-        raise ValueError(f"gamma_max must be in (0, 1], got {gmax}")
+    gmax = catalog.gamma_max if catalog is not None else HardwareCatalog.gamma_max
     t_dir = unit_vector(target_dir)
     k = incident.wavenumber
     tol = PAIRING_TOLERANCE_WAVELENGTHS * incident.wavelength_m
@@ -206,9 +187,8 @@ def configure_synthetic(
             (geometry.position_of(a) + geometry.position_of(b)) @ t_dir
         )
         phi_r = wrap_angle(-k * c)
-        amp = pair_amplitudes.get((a, b), 1.0) if pair_amplitudes else 1.0
         try:
-            sol = solve_pair(phases[a], phases[b], phi_r, amp)
+            sol = solve_pair(phases[a], phases[b], phi_r, 1.0)
         except SingularPairingError as err:
             raise SingularPairingError(str(err), pair_ids=(a, b)) from None
         solutions.append(((a, b), sol))
@@ -234,7 +214,7 @@ def configure_synthetic(
         gammas, "synthetic", unpaired=pairing.unpaired
     )
     if catalog is not None:
-        assignment = quantize_assignment(assignment, catalog, incident.frequency_hz)
+        assignment = quantize_assignment(assignment, catalog)
     return assignment
 
 
@@ -280,14 +260,40 @@ def configure_coded(
     return GammaAssignment(gammas, scheme)
 
 
+def configure(
+    scheme: str,
+    geometry: ArrayGeometry,
+    incident: PlaneWave,
+    target_dir,
+    catalog: HardwareCatalog | None = None,
+    gammas: dict[int, complex] | None = None,
+) -> GammaAssignment:
+    """Steering configuration for a named scheme.
+
+    ``synthetic`` goes to :func:`configure_synthetic`, ``1bit``/``2bit`` to
+    :func:`configure_coded`; ``explicit`` takes ``gammas`` as given, in
+    ``geometry.ids`` order (every array id must be a key). With a catalog,
+    every coefficient is additionally quantized onto the hardware states.
+    """
+    if scheme == "synthetic":
+        return configure_synthetic(geometry, incident, target_dir, catalog=catalog)
+    if scheme == "explicit":
+        assignment = GammaAssignment({i: gammas[i] for i in geometry.ids}, "explicit")
+    else:
+        assignment = configure_coded(geometry, incident, target_dir, scheme)
+    if catalog is not None:
+        assignment = quantize_assignment(assignment, catalog)
+    return assignment
+
+
 def quantize_assignment(
-    assignment: GammaAssignment, catalog: HardwareCatalog, frequency_hz: float
+    assignment: GammaAssignment, catalog: HardwareCatalog
 ) -> GammaAssignment:
     """Quantize every coefficient of an assignment onto the hardware catalog."""
     states: dict[int, LoadState] = {}
     quantized: dict[int, complex] = {}
     for eid, g in assignment.gammas.items():
-        state, gq = quantize_gamma(g, catalog, frequency_hz)
+        state, gq = quantize_gamma(g, catalog)
         states[eid] = state
         quantized[eid] = gq
     return GammaAssignment(

@@ -97,6 +97,32 @@ class TestScenarioValidation:
             load_scenario(scenario_file(doc))
         assert err.value.field == "gammas"
 
+    @pytest.mark.parametrize(
+        "ids, message",
+        [(("0",), "missing element ids [1]"), (("0", "1", "2"), "unknown element ids [2]")],
+    )
+    def test_explicit_gammas_must_match_array_ids(self, scenario_file, ids, message):
+        doc = copy.deepcopy(BASE_SCENARIO)
+        doc["array"] = {"rows": 1, "cols": 2, "spacing_wavelengths": 0.5}
+        doc["scheme"] = "explicit"
+        doc["gammas"] = {i: {"re": 0.5, "im": 0.0} for i in ids}
+        with pytest.raises(ScenarioError) as err:
+            load_scenario(scenario_file(doc))
+        assert err.value.field == "gammas"
+        assert message in str(err.value)
+
+    def test_explicit_gammas_follow_listed_position_ids(self, scenario_file):
+        doc = copy.deepcopy(BASE_SCENARIO)
+        doc["array"] = {"positions": [[0, 0, 0], [0.1, 0, 0]], "ids": [4, 9]}
+        doc["scheme"] = "explicit"
+        doc["gammas"] = {"4": {"re": 0.5, "im": 0.0}, "9": {"re": 0.5, "im": 0.0}}
+        scenario = load_scenario(scenario_file(doc))
+        assert set(scenario.gammas) == set(scenario.geometry.ids)
+
+    def test_geometry_built_once(self, scenario_file):
+        scenario = load_scenario(scenario_file(BASE_SCENARIO))
+        assert scenario.geometry is scenario.geometry
+
     def test_directions_resolve_per_convention(self, scenario_file):
         scenario = load_scenario(scenario_file(BASE_SCENARIO))
         # Arrives from the zenith: propagates straight down.
@@ -217,6 +243,51 @@ class TestCompareCommand:
         assert (out / "pattern_synthetic.csv").exists()
         assert (out / "pattern_1bit.csv").exists()
 
+    @pytest.mark.parametrize(
+        "schemes, with_gammas, field",
+        [
+            ("synthetic,3bit", False, "--schemes"),
+            ("synthetic,explicit", True, "--schemes"),
+            ("synthetic", False, "--schemes"),
+            ("synthetic,explicit", False, "gammas"),
+        ],
+    )
+    def test_bad_scheme_list_exits_2(
+        self, scenario_file, tmp_path, capsys, schemes, with_gammas, field
+    ):
+        doc = copy.deepcopy(BASE_SCENARIO)
+        if with_gammas:
+            doc["scheme"] = "explicit"
+            doc["gammas"] = {str(i): {"re": 0.5, "im": 0.0} for i in range(8)}
+        argv = ["compare", "--scenario", str(scenario_file(doc)), "--out", str(tmp_path / "o")]
+        assert main(argv + ["--schemes", schemes]) == 2
+        assert f"error: {field}:" in capsys.readouterr().err
+
+    def test_quantize_without_catalog_exits_2(self, scenario_file, tmp_path, capsys):
+        path = scenario_file(BASE_SCENARIO)  # no catalog section
+        code = main(
+            ["compare", "--scenario", str(path), "--out", str(tmp_path / "o"), "--quantize"]
+        )
+        assert code == 2
+        assert "catalog" in capsys.readouterr().err
+
+
+class TestSubcommandFlags:
+    @pytest.mark.parametrize(
+        "command, flags",
+        [
+            ("link", ["--quantize"]),
+            ("tank", ["--quantize"]),
+            ("power", ["--seed", "7"]),
+            ("steer", ["--format", "json"]),
+        ],
+    )
+    def test_flag_of_another_subcommand_rejected(self, command, flags, tmp_path):
+        argv = [command, "--scenario", str(REPO_SCENARIOS / "steer_225.json")]
+        with pytest.raises(SystemExit) as err:
+            main(argv + ["--out", str(tmp_path / "o"), *flags])
+        assert err.value.code == 2
+
 
 class TestTankCommand:
     def test_replay_artifacts(self, tmp_path):
@@ -299,7 +370,7 @@ class TestCatalogCommand:
         assert run_scenario(scenario_file(doc), out, command="catalog") == 0
         lines = (out / "catalog.csv").read_text().strip().splitlines()
         assert lines[0] == "state,re,im,magnitude,phase_rad"
-        assert len(lines) - 1 == len(catalog_gammas(HardwareCatalog(), 28e3))
+        assert len(lines) - 1 == len(catalog_gammas(HardwareCatalog()))
 
     def test_json_listing(self, scenario_file, tmp_path):
         out = tmp_path / "out"

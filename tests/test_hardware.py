@@ -1,5 +1,5 @@
-"""Load-network tests: reflection coefficients, stage impedances, catalog
-enumeration, and quantization."""
+"""Load-network tests: reflection coefficients, catalog enumeration, and
+quantization."""
 
 import math
 
@@ -12,10 +12,7 @@ from uaris.hardware import (
     catalog_gammas,
     quantize_gamma,
     reflection_coefficient,
-    stage_impedance,
 )
-
-F0 = 28e3
 
 
 class TestReflectionCoefficient:
@@ -58,33 +55,6 @@ class TestReflectionCoefficient:
         assert abs(abs(gamma) - 1.0) < 1e-12
 
 
-class TestStageImpedance:
-    def test_series_rc_reference_values(self):
-        z = stage_impedance(LoadState.series_rc(23.5, 128.6e-9), F0)
-        ref = 23.53 - 44.12j
-        assert abs(z - ref) < 0.01 * abs(ref)
-
-    def test_pure_resistor(self):
-        z = stage_impedance(LoadState.potentiometer(470.0), F0)
-        assert z == 470.0 + 0j
-
-    def test_series_rl(self):
-        z = stage_impedance(LoadState.series_rl(10.0, 1e-3), F0)
-        assert z.real == pytest.approx(10.0)
-        assert z.imag == pytest.approx(2 * math.pi * F0 * 1e-3)
-
-    def test_explicit_passthrough(self):
-        assert stage_impedance(LoadState.explicit(5 - 2j), F0) == 5 - 2j
-
-    def test_nominal_stage_rejected(self):
-        with pytest.raises(ValueError):
-            stage_impedance(LoadState.capacitive(2), F0)
-
-    def test_bad_frequency_rejected(self):
-        with pytest.raises(ValueError):
-            stage_impedance(LoadState.potentiometer(100.0), 0.0)
-
-
 class TestLoadState:
     def test_labels(self):
         assert LoadState.open_circuit().label == "open"
@@ -106,7 +76,7 @@ class TestLoadState:
 class TestCatalog:
     def test_reactive_extremes_present(self):
         gammas = dict(
-            (state.label, g) for state, g in catalog_gammas(HardwareCatalog(), F0)
+            (state.label, g) for state, g in catalog_gammas(HardwareCatalog())
         )
         assert gammas["C0.9"] == -0.9j
         assert gammas["L0.9"] == 0.9j
@@ -114,7 +84,7 @@ class TestCatalog:
         assert gammas["short"] == -1.0
 
     def test_potentiometer_range_spans_reference_interval(self):
-        entries = catalog_gammas(HardwareCatalog(), F0)
+        entries = catalog_gammas(HardwareCatalog())
         pot = [g.real for s, g in entries if s.kind == "potentiometer"]
         assert min(pot) <= -0.90
         assert max(pot) >= +0.95
@@ -123,19 +93,19 @@ class TestCatalog:
         cat = HardwareCatalog(z0=50.0, wiper_resistance=50.0, max_resistance=50e3)
         pot = [
             g.real
-            for s, g in catalog_gammas(cat, F0)
+            for s, g in catalog_gammas(cat)
             if s.kind == "potentiometer"
         ]
         assert min(pot) == 0.0
 
     def test_all_magnitudes_passive(self):
-        for _, g in catalog_gammas(HardwareCatalog(), F0):
+        for _, g in catalog_gammas(HardwareCatalog()):
             assert abs(g) <= 1.0 + 1e-12
 
     def test_potentiometer_gamma_increases_with_resistance(self):
         entries = [
             (float(s.value), g.real)
-            for s, g in catalog_gammas(HardwareCatalog(), F0)
+            for s, g in catalog_gammas(HardwareCatalog())
             if s.kind == "potentiometer"
         ]
         entries.sort()
@@ -165,25 +135,25 @@ class TestCatalog:
 
 class TestQuantize:
     def test_nearest_reactive_stage(self):
-        state, gamma = quantize_gamma(-0.55j, HardwareCatalog(), F0)
+        state, gamma = quantize_gamma(-0.55j, HardwareCatalog())
         assert state.label == "C0.6"
         assert gamma == -0.6j
 
     def test_matched_target_hits_exact_tap(self):
-        state, gamma = quantize_gamma(0j, HardwareCatalog(), F0)
+        state, gamma = quantize_gamma(0j, HardwareCatalog())
         assert state.kind == "potentiometer"
         assert float(state.value) == 1000.0
         assert gamma == 0.0
 
     def test_over_unity_clips_to_open(self):
-        state, gamma = quantize_gamma(1.2 + 0j, HardwareCatalog(), F0)
+        state, gamma = quantize_gamma(1.2 + 0j, HardwareCatalog())
         assert state.kind == "open"
         assert gamma == 1.0
 
     def test_idempotent_on_catalog_entries(self):
         cat = HardwareCatalog(potentiometer_steps=32)
-        for state, gamma in catalog_gammas(cat, F0):
-            _, gamma_again = quantize_gamma(gamma, cat, F0)
+        for state, gamma in catalog_gammas(cat):
+            _, gamma_again = quantize_gamma(gamma, cat)
             assert gamma_again == gamma
 
     def test_tie_prefers_lower_magnitude(self):
@@ -196,7 +166,7 @@ class TestQuantize:
             cap_stage_gammas=(-0.25j, -0.75j),
             ind_stage_gammas=(),
         )
-        _, gamma = quantize_gamma(-0.5j, cat, F0)
+        _, gamma = quantize_gamma(-0.5j, cat)
         assert gamma == -0.25j
 
     def test_tie_prefers_resistive_over_reactive(self):
@@ -210,6 +180,6 @@ class TestQuantize:
             cap_stage_gammas=(-0.5j,),
             ind_stage_gammas=(),
         )
-        state, gamma = quantize_gamma(0j, cat, F0)
+        state, gamma = quantize_gamma(0j, cat)
         assert state.kind == "potentiometer"
         assert gamma == 0.5

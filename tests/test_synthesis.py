@@ -8,16 +8,16 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 from uaris.core import PlaneWave, circular_distance, wrap_angle
-from uaris.geometry import ArrayGeometry, ReflectorElement
+from uaris.geometry import ArrayGeometry, ReflectorElement, incident_phases, pair_reflectors
 from uaris.hardware import HardwareCatalog
 from uaris.synthesis import (
+    PAIRING_TOLERANCE_WAVELENGTHS,
     GammaAssignment,
     NoPairsError,
     SingularPairingError,
     configure_coded,
     configure_synthetic,
     quantize_assignment,
-    scale_to_passive,
     solve_pair,
 )
 
@@ -60,38 +60,6 @@ class TestSolvePair:
         achieved = pair_phasor(sol.a1, sol.a2, phi1, phi2)
         target = amp * cmath.exp(1j * phi_r)
         assert abs(achieved - target) < 1e-9 * max(1.0, amp, abs(sol.a1), abs(sol.a2))
-
-
-class TestScaleToPassive:
-    def test_shrinks_to_bound(self):
-        sol = scale_to_passive(1.8, 0.6, 0.9)
-        assert (sol.a1, sol.a2) == pytest.approx((0.9, 0.3))
-        assert sol.scale_applied == pytest.approx(0.5)
-
-    def test_within_bound_untouched(self):
-        sol = scale_to_passive(0.5, 0.5, 0.9)
-        assert (sol.a1, sol.a2, sol.scale_applied) == (0.5, 0.5, 1.0)
-
-    def test_degenerate_zero_pair(self):
-        sol = scale_to_passive(0.0, 0.0, 0.9)
-        assert (sol.a1, sol.a2, sol.scale_applied) == (0.0, 0.0, 1.0)
-
-    def test_gamma_max_validated(self):
-        with pytest.raises(ValueError):
-            scale_to_passive(1.0, 1.0, 0.0)
-
-    @given(
-        a1=st.floats(min_value=-5, max_value=5),
-        a2=st.floats(min_value=-5, max_value=5),
-    )
-    def test_combined_argument_preserved(self, a1, a2):
-        assume(abs(a1) + abs(a2) > 1e-6)
-        sol = scale_to_passive(a1, a2, 0.9)
-        # math.atan2 rather than cmath.phase: the latter overflows on
-        # subnormal components.
-        before = math.atan2(a2, a1)
-        after = math.atan2(sol.a2, sol.a1)
-        assert circular_distance(before, after) < 1e-9
 
 
 def grid_2x2():
@@ -185,6 +153,30 @@ class TestConfigureSynthetic:
         for g in assignment.quantized_gammas.values():
             assert abs(g) <= 1.0 + 1e-12
 
+    def test_passivity_scaling_is_global_and_keeps_pair_phases(self):
+        # Oblique incidence so the pair members see different incident phases.
+        geo = ArrayGeometry.grid(rows=4, cols=2, spacing_m=2 * LAM)
+        wave = PlaneWave(28e3, propagation_dir=(0.3, 0.2, -0.9))
+        t_dir = np.array([0.0, math.cos(math.radians(225)), math.sin(math.radians(225))])
+        assignment = configure_synthetic(geo, wave, t_dir)
+        pairing = pair_reflectors(geo, t_dir, PAIRING_TOLERANCE_WAVELENGTHS * LAM)
+        assert len(pairing.pairs) == 4 and not pairing.unpaired
+        gammas = assignment.gammas
+        components = [abs(gammas[a].real) for a, _ in pairing.pairs]
+        components += [abs(gammas[b].imag) for _, b in pairing.pairs]
+        assert max(components) == pytest.approx(HardwareCatalog().gamma_max, abs=1e-12)
+
+        phases = incident_phases(geo, wave)
+        k = wave.wavenumber
+        magnitudes = []
+        for a, b in pairing.pairs:
+            phasor = gammas[a] * cmath.exp(1j * phases[a]) + gammas[b] * cmath.exp(1j * phases[b])
+            c = 0.5 * float((geo.position_of(a) + geo.position_of(b)) @ t_dir)
+            assert circular_distance(cmath.phase(phasor), wrap_angle(-k * c)) < 1e-9
+            magnitudes.append(abs(phasor))
+        assert magnitudes[0] < 1.0  # the uniform unit target was scaled down
+        assert magnitudes == pytest.approx([magnitudes[0]] * 4, abs=1e-12)
+
     def test_assignment_rejects_over_unity(self):
         with pytest.raises(ValueError):
             GammaAssignment({0: 1.5 + 0j}, "explicit")
@@ -253,7 +245,7 @@ class TestConfigureCoded:
 
     def test_quantize_assignment_standalone(self):
         assignment = configure_coded(grid_2x2(), normal_wave(), (0, 0, 1), "2bit")
-        quantized = quantize_assignment(assignment, HardwareCatalog(), 28e3)
+        quantized = quantize_assignment(assignment, HardwareCatalog())
         assert quantized.quantized_states is not None
         # Coded states are already catalog states: quantization is lossless.
         assert quantized.quantized_gammas == quantized.gammas
