@@ -159,7 +159,7 @@ def array_factor(
         raise ValueError("assignment does not cover exactly the array's element ids")
 
     order = sorted(geometry.ids)
-    pos = np.array([geometry.position_of(i) for i in order])
+    pos = geometry.positions[[geometry.index[i] for i in order]]
     gammas = np.array([gam_map[i] for i in order], dtype=complex)
     k = incident.wavenumber
     dirs = sweep_directions(plane, angles)

@@ -16,11 +16,9 @@ differential amplitude ratios predictable from the coefficients alone.
 
 from __future__ import annotations
 
-import json
 import math
 import wave as wave_module
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -90,9 +88,7 @@ class TankChannel:
         }
 
     @classmethod
-    def from_json(cls, doc: dict | str | Path) -> "TankChannel":
-        if isinstance(doc, (str, Path)):
-            doc = json.loads(Path(doc).read_text())
+    def from_json(cls, doc: dict) -> "TankChannel":
         def taps(rows) -> tuple[Tap, ...]:
             return tuple(Tap(r["amplitude"], r["phase_rad"], r["delay_s"]) for r in rows)
 

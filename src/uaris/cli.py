@@ -162,7 +162,7 @@ def _cmd_tank(scenario: Scenario, out: Path, args) -> int:
     if tank is None:
         raise ScenarioError("tank", "scenario has no tank section")
     if "channel" in tank:
-        channel = TankChannel.from_json(tank["channel"])
+        channel = tank["channel"]
     else:
         channel = _random_channel(int(tank["random_taps"]), args.seed)
     gamma_a = tank.get("gamma_a", complex(1.0))   # open

@@ -13,9 +13,7 @@ wave later and its incident phase is ``-k * (p . d)``.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -46,6 +44,11 @@ class ReflectorElement:
 class ArrayGeometry:
     """A planar array of reflector elements.
 
+    Built once from the elements: ``ids`` (tuple, element order),
+    ``positions`` (read-only (N, 3) float array, row i belongs to ``ids[i]``)
+    and ``index`` (``{id: row}``). Every consumer looks elements up through
+    ``index`` rather than scanning ``elements``.
+
     :param elements: reflector elements with unique ids
     :param normal: broadside direction of the array plane (normalized)
     :raises ValueError: on duplicate ids or elements off the common plane by
@@ -56,13 +59,15 @@ class ArrayGeometry:
         self.elements = tuple(elements)
         if not self.elements:
             raise ValueError("array needs at least one element")
-        ids = [e.id for e in self.elements]
-        if len(set(ids)) != len(ids):
+        self.ids = tuple(e.id for e in self.elements)
+        self.index = {eid: row for row, eid in enumerate(self.ids)}
+        if len(self.index) != len(self.ids):
             raise ValueError("element ids must be unique")
+        self.positions = np.array([e.position for e in self.elements], dtype=float)
+        self.positions.flags.writeable = False
         n = unit_vector(normal)
         self.normal = (n[0], n[1], n[2])
-        pos = self.positions
-        offsets = (pos - pos[0]) @ n
+        offsets = (self.positions - self.positions[0]) @ n
         if np.max(np.abs(offsets)) > _COPLANARITY_TOL_M:
             raise ValueError("elements are not coplanar with the given normal")
 
@@ -89,50 +94,38 @@ class ArrayGeometry:
         """Grid with spacing given in wavelengths of the operating tone."""
         return cls.grid(rows, cols, spacing_wavelengths * wavelength_m)
 
-    @property
-    def ids(self) -> tuple[int, ...]:
-        return tuple(e.id for e in self.elements)
-
-    @property
-    def positions(self) -> np.ndarray:
-        """Element positions as an (N, 3) float array, in element order."""
-        return np.array([e.position for e in self.elements], dtype=float)
-
     def position_of(self, element_id: int) -> np.ndarray:
-        for e in self.elements:
-            if e.id == element_id:
-                return np.asarray(e.position, dtype=float)
-        raise KeyError(f"no element with id {element_id}")
+        try:
+            return self.positions[self.index[element_id]]
+        except KeyError:
+            raise KeyError(f"no element with id {element_id}") from None
 
     def translated(self, offset) -> "ArrayGeometry":
         """Rigidly translated copy (ids preserved)."""
         off = np.asarray(offset, dtype=float)
         return ArrayGeometry(
-            [
-                ReflectorElement(e.id, tuple(np.asarray(e.position) + off))
-                for e in self.elements
-            ],
+            [ReflectorElement(i, tuple(p + off)) for i, p in zip(self.ids, self.positions)],
             self.normal,
         )
 
     def to_json(self) -> dict:
         return {
-            "positions": [list(e.position) for e in self.elements],
+            "positions": self.positions.tolist(),
             "ids": list(self.ids),
             "normal": list(self.normal),
         }
 
     @classmethod
-    def from_json(cls, doc: dict | str | Path, wavelength_m: float | None = None):
-        """Load from JSON: either explicit ``positions`` (meters) or a
+    def from_json(cls, doc: dict, wavelength_m: float | None = None):
+        """Load from a parsed JSON object: either explicit ``positions``
+        (meters, with optional ``ids`` of the same length) or a
         ``{rows, cols, spacing_wavelengths}`` grid spec (needs ``wavelength_m``).
         """
-        if isinstance(doc, (str, Path)):
-            doc = json.loads(Path(doc).read_text())
         if "positions" in doc:
-            ids = doc.get("ids", list(range(len(doc["positions"]))))
+            ids = doc.get("ids", range(len(doc["positions"])))
             elements = [
-                ReflectorElement(i, tuple(p)) for i, p in zip(ids, doc["positions"])
+                ReflectorElement(i, tuple(p))
+                for i, p in zip(ids, doc["positions"], strict=True)
             ]
             return cls(elements, tuple(doc.get("normal", (0.0, 0.0, 1.0))))
         if "rows" in doc:
@@ -172,9 +165,7 @@ def incident_phases(geometry: ArrayGeometry, wave: PlaneWave) -> dict[int, float
     """
     k = wave.wavenumber
     proj = geometry.positions @ wave.direction
-    return {
-        e.id: wrap_angle(-k * float(pr)) for e, pr in zip(geometry.elements, proj)
-    }
+    return {eid: wrap_angle(-k * float(pr)) for eid, pr in zip(geometry.ids, proj)}
 
 
 def pair_reflectors(
@@ -193,7 +184,8 @@ def pair_reflectors(
         raise ValueError("tolerance must be >= 0")
     rdir = unit_vector(reflect_dir)
     proj = geometry.positions @ rdir
-    order = sorted(range(len(geometry.elements)), key=lambda i: (proj[i], geometry.elements[i].id))
+    ids = geometry.ids
+    order = sorted(range(len(ids)), key=lambda i: (proj[i], ids[i]))
 
     groups: list[list[int]] = []
     for i in order:
@@ -205,9 +197,9 @@ def pair_reflectors(
     pairs: list[tuple[int, int]] = []
     unpaired: list[int] = []
     for g in groups:
-        ids = sorted(geometry.elements[i].id for i in g)
-        for a, b in zip(ids[0::2], ids[1::2]):
+        members = sorted(ids[i] for i in g)
+        for a, b in zip(members[0::2], members[1::2]):
             pairs.append((a, b))
-        if len(ids) % 2:
-            unpaired.append(ids[-1])
+        if len(members) % 2:
+            unpaired.append(members[-1])
     return Pairing(tuple(pairs), tuple(unpaired))

@@ -12,9 +12,7 @@ reflection coefficients, so the catalog does not depend on frequency.
 from __future__ import annotations
 
 import cmath
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 
 __all__ = [
     "LoadState",
@@ -169,9 +167,7 @@ class HardwareCatalog:
         }
 
     @classmethod
-    def from_json(cls, doc: dict | str | Path) -> "HardwareCatalog":
-        if isinstance(doc, (str, Path)):
-            doc = json.loads(Path(doc).read_text())
+    def from_json(cls, doc: dict) -> "HardwareCatalog":
         kwargs = dict(doc)
         for key in ("cap_stage_gammas", "ind_stage_gammas"):
             if key in kwargs:

@@ -105,7 +105,11 @@ class Scenario:
 
     @cached_property
     def geometry(self) -> ArrayGeometry:
-        return ArrayGeometry.from_json(self.array_doc, wavelength_m=self.wavelength_m)
+        """The array, built on first use; construction errors name ``array``."""
+        try:
+            return ArrayGeometry.from_json(self.array_doc, wavelength_m=self.wavelength_m)
+        except (ValueError, KeyError, TypeError) as err:
+            raise ScenarioError("array", str(err)) from None
 
     @property
     def incident_wave(self) -> PlaneWave:
@@ -222,6 +226,11 @@ def _parse_scenario(doc: dict) -> Scenario:
     _check_known(array_doc, _ARRAY_FIELDS, "array.")
     if "positions" not in array_doc and "rows" not in array_doc:
         raise ScenarioError("array", "needs 'positions' or a rows/cols grid spec")
+    ids, positions = array_doc.get("ids"), array_doc.get("positions")
+    if isinstance(ids, list) and isinstance(positions, list) and len(ids) != len(positions):
+        raise ScenarioError(
+            "array.ids", f"has {len(ids)} entries but 'positions' has {len(positions)}"
+        )
 
     incident = _angles(_require(doc, "incident", ""), "incident.")
     target = _angles(_require(doc, "target", ""), "target.")
@@ -254,18 +263,8 @@ def _parse_scenario(doc: dict) -> Scenario:
             except ValueError:
                 raise ScenarioError(f"gammas.{key}", "element id must be an integer") from None
             gammas[eid] = _parse_complex(val, f"gammas.{key}")
-    if scheme == "explicit":
-        if gammas is None:
-            raise ScenarioError("gammas", "required when scheme is 'explicit'")
-        if "positions" in array_doc:
-            ids = set(array_doc.get("ids", range(len(array_doc["positions"]))))
-        else:
-            ids = set(range(array_doc["rows"] * array_doc["cols"]))
-        missing, extra = ids - set(gammas), set(gammas) - ids
-        if missing:
-            raise ScenarioError("gammas", f"missing element ids {sorted(missing)}")
-        if extra:
-            raise ScenarioError("gammas", f"unknown element ids {sorted(extra)}")
+    if scheme == "explicit" and gammas is None:
+        raise ScenarioError("gammas", "required when scheme is 'explicit'")
 
     link = None
     if "link" in doc:
@@ -290,7 +289,7 @@ def _parse_scenario(doc: dict) -> Scenario:
         tank = dict(doc["tank"])
         if "channel" in tank:
             try:
-                TankChannel.from_json(tank["channel"])
+                tank["channel"] = TankChannel.from_json(tank["channel"])
             except (ValueError, KeyError, TypeError) as err:
                 raise ScenarioError("tank.channel", str(err)) from None
         elif "random_taps" not in tank:
@@ -299,7 +298,7 @@ def _parse_scenario(doc: dict) -> Scenario:
             if name in tank:
                 tank[name] = _parse_complex(tank[name], f"tank.{name}")
 
-    return Scenario(
+    scenario = Scenario(
         frequency_hz=frequency,
         sound_speed_mps=sound_speed,
         array_doc=array_doc,
@@ -313,6 +312,14 @@ def _parse_scenario(doc: dict) -> Scenario:
         power=power,
         tank=tank,
     )
+    if scheme == "explicit":
+        ids = set(scenario.geometry.ids)
+        missing, extra = ids - set(gammas), set(gammas) - ids
+        if missing:
+            raise ScenarioError("gammas", f"missing element ids {sorted(missing)}")
+        if extra:
+            raise ScenarioError("gammas", f"unknown element ids {sorted(extra)}")
+    return scenario
 
 
 def load_scenario(path_or_doc) -> Scenario:

@@ -181,11 +181,10 @@ def configure_synthetic(
         )
     phases = incident_phases(geometry, incident)
 
+    pos, index = geometry.positions, geometry.index
     solutions: list[tuple[tuple[int, int], PairSolution]] = []
     for a, b in pairing.pairs:
-        c = 0.5 * float(
-            (geometry.position_of(a) + geometry.position_of(b)) @ t_dir
-        )
+        c = 0.5 * float((pos[index[a]] + pos[index[b]]) @ t_dir)
         phi_r = wrap_angle(-k * c)
         try:
             sol = solve_pair(phases[a], phases[b], phi_r, 1.0)
@@ -206,7 +205,7 @@ def configure_synthetic(
     common_amp = scale  # uniform target amplitude 1.0 times the global scale
     d_inc = incident.direction
     for eid in pairing.unpaired:
-        theta = _ideal_phase(geometry.position_of(eid), k, t_dir, d_inc)
+        theta = _ideal_phase(pos[index[eid]], k, t_dir, d_inc)
         re = common_amp * math.cos(theta)
         gammas[eid] = complex(max(-gmax, min(gmax, re)))
 
@@ -248,15 +247,15 @@ def configure_coded(
     k = incident.wavenumber
     d_inc = incident.direction
     gammas: dict[int, complex] = {}
-    for e in geometry.elements:
-        theta = _ideal_phase(np.asarray(e.position), k, t_dir, d_inc)
+    for eid, position in zip(geometry.ids, geometry.positions):
+        theta = _ideal_phase(position, k, t_dir, d_inc)
         best = min(
             (
                 (abs(wrap_angle(theta - phase)), rank, g)
                 for rank, (phase, g) in enumerate(candidates)
             ),
         )
-        gammas[e.id] = best[2]
+        gammas[eid] = best[2]
     return GammaAssignment(gammas, scheme)
 
 

@@ -79,6 +79,19 @@ class TestArrayFactor:
         p2 = array_factor(geo.translated((1.23, -4.5, 0)), explicit(gam), wave, "yz")
         assert np.allclose(p1.magnitudes, p2.magnitudes, atol=1e-9)
 
+    def test_element_order_does_not_change_the_sum(self):
+        # Summation runs in ascending id order whatever order the elements
+        # were given in, so a permuted array gives bitwise the same response.
+        rng = np.random.default_rng(8)
+        geo = ArrayGeometry.grid(3, 4, 0.7 * LAM)
+        gam = {i: complex(*rng.uniform(-0.7, 0.7, 2)) for i in range(12)}
+        permuted = ArrayGeometry([geo.elements[i] for i in rng.permutation(12)])
+        wave = PlaneWave(F0, propagation_dir=(0.3, -0.2, -0.933))
+        p1 = array_factor(geo, explicit(gam), wave, "yz")
+        p2 = array_factor(permuted, explicit(gam), wave, "yz")
+        assert permuted.ids != geo.ids
+        assert np.array_equal(p1.response, p2.response)
+
     def test_conjugate_gammas_mirror_pattern_about_broadside(self):
         # For normal incidence on a z=0 planar array, conjugating every
         # coefficient reflects the pattern through the array normal:

@@ -188,6 +188,40 @@ class TestSteerCommand:
         assert code == 3
         assert "solver error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "array, field",
+        [
+            ({"rows": 0, "cols": 2, "spacing_wavelengths": 0.5}, "array"),
+            ({"rows": 2, "cols": 2}, "array"),
+            ({"positions": [[0, 0, 0], [0.1, 0, 0]], "ids": [3, 3]}, "array"),
+            ({"positions": [[0, 0, 0], [0.1, 0, 0.1]]}, "array"),
+            ({"positions": [[0, 0], [0.1, 0]]}, "array"),
+            ({"positions": []}, "array"),
+            ({"positions": [[0.1 * i, 0, 0] for i in range(4)], "ids": [0, 1]}, "array.ids"),
+            ({"positions": [[0, 0, 0], [0.1, 0, 0]], "ids": [0, 1, 9]}, "array.ids"),
+        ],
+        ids=[
+            "zero-rows",
+            "no-spacing",
+            "duplicate-ids",
+            "non-coplanar",
+            "2d-positions",
+            "no-positions",
+            "fewer-ids",
+            "more-ids",
+        ],
+    )
+    def test_bad_array_exits_2_naming_field(
+        self, array, field, scenario_file, tmp_path, capsys
+    ):
+        doc = copy.deepcopy(BASE_SCENARIO)
+        doc["array"] = array
+        code = main(
+            ["steer", "--scenario", str(scenario_file(doc)), "--out", str(tmp_path / "o")]
+        )
+        assert code == 2
+        assert f"error: {field}: " in capsys.readouterr().err
+
     def test_quantize_emits_quantized_views(self, tmp_path):
         out = tmp_path / "out"
         code = run_scenario(REPO_SCENARIOS / "steer_225.json", out, quantize=True)

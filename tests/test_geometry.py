@@ -48,6 +48,24 @@ class TestArrayGeometry:
         geo = ArrayGeometry(elements((2, 0, 0), (2, 1, 3)), normal=(1, 0, 0))
         assert geo.normal == (1, 0, 0)
 
+    def test_index_maps_unsorted_ids_to_rows(self):
+        geo = ArrayGeometry(
+            [
+                ReflectorElement(5, (0.0, 0.0, 0.0)),
+                ReflectorElement(2, (0.3, 0.0, 0.0)),
+                ReflectorElement(9, (0.0, 0.4, 0.0)),
+            ]
+        )
+        assert geo.ids == (5, 2, 9)
+        assert geo.index == {5: 0, 2: 1, 9: 2}
+        for i in (5, 2, 9):
+            assert np.array_equal(geo.positions[geo.index[i]], geo.position_of(i))
+
+    def test_positions_are_read_only(self):
+        geo = ArrayGeometry.grid(1, 2, 0.5)
+        with pytest.raises(ValueError):
+            geo.positions[0, 0] = 1.0
+
     def test_unknown_id(self):
         geo = ArrayGeometry.grid(1, 2, 0.5)
         with pytest.raises(KeyError):
@@ -59,6 +77,12 @@ class TestArrayGeometry:
         geo2 = ArrayGeometry.from_json(doc)
         assert np.allclose(geo2.positions, geo.positions)
         assert geo2.ids == geo.ids
+
+    @pytest.mark.parametrize("n_positions, ids", [(4, [0, 1]), (2, [0, 1, 9])])
+    def test_json_ids_must_match_positions(self, n_positions, ids):
+        positions = [[0.1 * i, 0, 0] for i in range(n_positions)]
+        with pytest.raises(ValueError):
+            ArrayGeometry.from_json({"positions": positions, "ids": ids})
 
     def test_json_grid_spec(self):
         geo = ArrayGeometry.from_json(
