@@ -140,9 +140,18 @@ def array_factor(
 ) -> BeamPattern:
     """Evaluate the array factor over an angular sweep.
 
-    Summation order is fixed (ascending element id) so results are identical
-    regardless of any internal parallelism. A triangle-inequality guard,
-    ``max |AF| <= sum |gamma|``, is asserted on every run.
+    On a lattice array (``geometry.lattice``: a full product grid, one
+    element per cell) the exponent separates per axis, the planar-array
+    product form: ``AF = sum_rows (G @ E_x) * E_row``, where ``E_a`` holds
+    ``exp(j*k*a*(u - d)_a)`` for the unique coordinates ``a`` of one axis,
+    ``G`` is the (ny*nz, nx) coefficient grid and ``E_row`` the (ny*nz, M)
+    product of the y and z factors. That costs (nx+ny+nz)*M ``exp`` calls
+    instead of N*M for M probe angles. Any other layout takes the dense sum
+    in ascending element id order. Either way the result depends only on the
+    positions and coefficients, not on the element order, and identical
+    inputs give identical bits (also across BLAS thread counts). A
+    triangle-inequality guard, ``max |AF| <= sum |gamma|``, is asserted on
+    every run.
 
     :param angles_deg: strictly increasing degree grid (default 0..360 step 0.5)
     :param use_quantized: evaluate the catalog-quantized coefficients instead
@@ -158,13 +167,24 @@ def array_factor(
     if set(gam_map) != set(geometry.ids):
         raise ValueError("assignment does not cover exactly the array's element ids")
 
-    order = sorted(geometry.ids)
-    pos = geometry.positions[[geometry.index[i] for i in order]]
-    gammas = np.array([gam_map[i] for i in order], dtype=complex)
     k = incident.wavenumber
-    dirs = sweep_directions(plane, angles)
-    phase = k * (pos @ (dirs - incident.direction).T)
-    response = (gammas[:, None] * np.exp(1j * phase)).sum(axis=0)
+    probe = sweep_directions(plane, angles) - incident.direction
+    lattice = geometry.lattice
+    if lattice is None:
+        order = sorted(geometry.ids)
+        pos = geometry.positions[[geometry.index[i] for i in order]]
+        gammas = np.array([gam_map[i] for i in order], dtype=complex)
+        response = (gammas[:, None] * np.exp(1j * (k * (pos @ probe.T)))).sum(axis=0)
+    else:
+        gammas = np.array([gam_map[i] for i in geometry.ids], dtype=complex)
+        axes = lattice.axes
+        ex, ey, ez = (np.exp(1j * (k * np.outer(v, probe[:, a]))) for a, v in enumerate(axes))
+        nx, ny, nz = (len(v) for v in axes)
+        ix, iy, iz = lattice.cells.T
+        grid = np.zeros((ny * nz, nx), dtype=complex)
+        grid[iy * nz + iz, ix] = gammas
+        rows = (ey[:, None, :] * ez[None, :, :]).reshape(ny * nz, -1)
+        response = ((grid @ ex) * rows).sum(axis=0)
 
     bound = float(np.sum(np.abs(gammas)))
     if float(np.max(np.abs(response))) > bound + 1e-9:

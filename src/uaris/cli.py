@@ -11,8 +11,9 @@ subcommand are ignored with a warning):
 * ``catalog``  list the reflection coefficients a hardware config realizes
 
 Exit codes: 0 success, 2 malformed input, 3 solver failure (singular or
-empty pairing). Artifacts are byte-identical across runs for identical
-inputs; no command mutates its input file.
+empty pairing, or a sweep whose pattern has no measurable main lobe).
+Artifacts are byte-identical across runs for identical inputs; no command
+mutates its input file.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .beam import array_factor, beam_metrics, compare_schemes
+from .beam import NoLobesError, array_factor, beam_metrics, compare_schemes
 from .channel import (
     LinkBudgetParams,
     Tap,
@@ -93,17 +94,21 @@ def _cmd_steer(scenario: Scenario, out: Path, args) -> int:
         scenario.gammas,
     )
     angles = scenario.sweep.angles_deg
+    # Every metric is computed before the first artifact is written, so a
+    # NoLobesError leaves the output directory untouched.
     pattern = array_factor(geometry, assignment, incident, scenario.sweep.plane, angles)
-    pattern.write_csv(out / "pattern.csv")
     metrics = beam_metrics(pattern)
-    _dump_json(metrics.to_json(), out / "metrics.json")
-    _dump_json(assignment.to_json(), out / "assignment.json")
     if args.quantize:
         q_pattern = array_factor(
             geometry, assignment, incident, scenario.sweep.plane, angles, use_quantized=True
         )
+        q_metrics = beam_metrics(q_pattern)
+    pattern.write_csv(out / "pattern.csv")
+    _dump_json(metrics.to_json(), out / "metrics.json")
+    _dump_json(assignment.to_json(), out / "assignment.json")
+    if args.quantize:
         q_pattern.write_csv(out / "pattern_quantized.csv")
-        _dump_json(beam_metrics(q_pattern).to_json(), out / "metrics_quantized.json")
+        _dump_json(q_metrics.to_json(), out / "metrics_quantized.json")
     if scenario.link is not None:
         _dump_json(_link_report(scenario), out / "link.json")
     if scenario.power is not None:
@@ -375,6 +380,9 @@ def main(argv=None) -> int:
         detail = getattr(err, "pair_ids", None)
         suffix = f" (pair {detail})" if detail else ""
         print(f"solver error: {err}{suffix}", file=sys.stderr)
+        return EXIT_SOLVER
+    except NoLobesError as err:
+        print(f"solver error: sweep: {err}", file=sys.stderr)
         return EXIT_SOLVER
 
 

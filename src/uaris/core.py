@@ -27,6 +27,13 @@ def wrap_angle(radians: float) -> float:
     return a
 
 
+def wrap_angles(radians: np.ndarray) -> np.ndarray:
+    """Elementwise :func:`wrap_angle`, bitwise equal to it for each entry."""
+    a = np.fmod(radians, TWO_PI)
+    a = np.where(a > math.pi, a - TWO_PI, a)
+    return np.where(a <= -math.pi, a + TWO_PI, a)
+
+
 def circular_distance(a: float, b: float) -> float:
     """Distance between two angles on the circle, in [0, pi]."""
     return abs(wrap_angle(a - b))

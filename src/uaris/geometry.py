@@ -14,6 +14,8 @@ wave later and its incident phase is ``-k * (p . d)``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -22,6 +24,7 @@ from .core import unit_vector, wrap_angle, PlaneWave
 __all__ = [
     "ReflectorElement",
     "ArrayGeometry",
+    "Lattice",
     "Pairing",
     "incident_phases",
     "pair_reflectors",
@@ -41,13 +44,25 @@ class ReflectorElement:
         object.__setattr__(self, "position", tuple(float(x) for x in self.position))
 
 
+class Lattice(NamedTuple):
+    """An array whose elements fill a full x-y-z product grid, one per cell.
+
+    ``axes`` holds the sorted unique x, y and z coordinates; row i of
+    ``cells`` is the (ix, iy, iz) cell of the geometry's row i.
+    """
+
+    axes: tuple[np.ndarray, np.ndarray, np.ndarray]
+    cells: np.ndarray
+
+
 class ArrayGeometry:
     """A planar array of reflector elements.
 
     Built once from the elements: ``ids`` (tuple, element order),
     ``positions`` (read-only (N, 3) float array, row i belongs to ``ids[i]``)
     and ``index`` (``{id: row}``). Every consumer looks elements up through
-    ``index`` rather than scanning ``elements``.
+    ``index`` rather than scanning ``elements``. ``lattice`` is derived from
+    ``positions`` on first use.
 
     :param elements: reflector elements with unique ids
     :param normal: broadside direction of the array plane (normalized)
@@ -70,6 +85,24 @@ class ArrayGeometry:
         offsets = (self.positions - self.positions[0]) @ n
         if np.max(np.abs(offsets)) > _COPLANARITY_TOL_M:
             raise ValueError("elements are not coplanar with the given normal")
+
+    @cached_property
+    def lattice(self) -> Lattice | None:
+        """The product-grid view of ``positions``, or ``None`` unless the
+        elements fill every cell of the grid spanned by their unique x, y and
+        z values exactly once (any rectangular grid, in any plane and any
+        element order, qualifies)."""
+        axes, cells = zip(
+            *(np.unique(self.positions[:, a], return_inverse=True) for a in range(3))
+        )
+        nx, ny, nz = (len(v) for v in axes)
+        if nx * ny * nz != len(self.ids):
+            return None
+        cells = np.stack(cells, axis=1)
+        flat = (cells[:, 0] * ny + cells[:, 1]) * nz + cells[:, 2]
+        if np.bincount(flat).max() != 1:
+            return None
+        return Lattice(axes, cells)
 
     @classmethod
     def grid(cls, rows: int, cols: int, spacing_m: float, normal=(0.0, 0.0, 1.0)):

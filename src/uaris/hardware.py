@@ -7,12 +7,20 @@ potentiometer (real-axis reflection coefficients), three capacitive stages
 (coefficients on the -j axis), three inductive stages (+j axis), and the
 open/short extremes. Reactive stages are described by their nominal
 reflection coefficients, so the catalog does not depend on frequency.
+
+Quantization searches a per-catalog table that is built once and cached
+(``HardwareCatalog`` is frozen and hashable): the states and a read-only
+complex array of their coefficients, both in tie-preference order. The
+nearest state is the first minimum of the distance over that table.
 """
 
 from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass, field
+from functools import lru_cache
+
+import numpy as np
 
 __all__ = [
     "LoadState",
@@ -20,6 +28,7 @@ __all__ = [
     "reflection_coefficient",
     "catalog_gammas",
     "quantize_gamma",
+    "nearest_states",
 ]
 
 _STATE_KINDS = (
@@ -233,18 +242,41 @@ def catalog_gammas(catalog: HardwareCatalog) -> list[tuple[LoadState, complex]]:
     return entries
 
 
+@lru_cache(maxsize=16)
+def _catalog_table(catalog: HardwareCatalog) -> tuple[tuple[LoadState, ...], np.ndarray]:
+    """The catalog's states and a read-only array of their coefficients, in
+    tie-preference order: |gamma|, then resistive before reactive, then
+    catalog index. Built once per catalog."""
+    entries = catalog_gammas(catalog)
+    order = sorted(
+        range(len(entries)),
+        key=lambda i: (abs(entries[i][1]), entries[i][0].is_reactive, i),
+    )
+    states = tuple(entries[i][0] for i in order)
+    table = np.array([entries[i][1] for i in order], dtype=complex)
+    table.flags.writeable = False
+    return states, table
+
+
+def nearest_states(targets, catalog: HardwareCatalog) -> tuple[list[LoadState], list[complex]]:
+    """Nearest realizable load state to each target, as :func:`quantize_gamma`
+    picks it: one (N, S) distance array over the cached table and one
+    ``argmin`` per target."""
+    states, table = _catalog_table(catalog)
+    column = np.asarray(targets, dtype=complex).reshape(-1, 1)
+    best = np.argmin(np.abs(column - table), axis=1)
+    return [states[i] for i in best.tolist()], table[best].tolist()
+
+
 def quantize_gamma(target: complex, catalog: HardwareCatalog) -> tuple[LoadState, complex]:
     """Nearest realizable load state to a target reflection coefficient.
 
     Any complex target is accepted; over-unity requests clip onto the catalog
     boundary by design (passive hardware cannot amplify). Distance ties are
     broken toward the lower-magnitude coefficient, then toward resistive
-    states over reactive ones.
+    states over reactive ones, then toward the earlier catalog entry: the
+    cached table is stored in that order and ``argmin`` takes its first
+    minimum.
     """
-    target = complex(target)
-    best = None
-    for idx, (state, gamma) in enumerate(catalog_gammas(catalog)):
-        key = (abs(gamma - target), abs(gamma), state.is_reactive, idx)
-        if best is None or key < best[0]:
-            best = (key, state, gamma)
-    return best[1], best[2]
+    states, gammas = nearest_states([target], catalog)
+    return states[0], gammas[0]

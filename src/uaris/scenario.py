@@ -105,7 +105,8 @@ class Scenario:
 
     @cached_property
     def geometry(self) -> ArrayGeometry:
-        """The array, built on first use; construction errors name ``array``."""
+        """The array, built by :func:`load_scenario`; construction errors
+        name ``array``."""
         try:
             return ArrayGeometry.from_json(self.array_doc, wavelength_m=self.wavelength_m)
         except (ValueError, KeyError, TypeError) as err:
@@ -227,7 +228,12 @@ def _parse_scenario(doc: dict) -> Scenario:
     if "positions" not in array_doc and "rows" not in array_doc:
         raise ScenarioError("array", "needs 'positions' or a rows/cols grid spec")
     ids, positions = array_doc.get("ids"), array_doc.get("positions")
-    if isinstance(ids, list) and isinstance(positions, list) and len(ids) != len(positions):
+    if ids is not None and (
+        not isinstance(ids, list)
+        or any(isinstance(i, bool) or not isinstance(i, int) for i in ids)
+    ):
+        raise ScenarioError("array.ids", f"expected a list of integer element ids, got {ids!r}")
+    if ids is not None and isinstance(positions, list) and len(ids) != len(positions):
         raise ScenarioError(
             "array.ids", f"has {len(ids)} entries but 'positions' has {len(positions)}"
         )
@@ -312,8 +318,11 @@ def _parse_scenario(doc: dict) -> Scenario:
         power=power,
         tank=tank,
     )
+    # Every subcommand gets a valid array: the geometry is built (and cached)
+    # here, so construction errors exit 2 naming ``array`` whatever runs.
+    geometry = scenario.geometry
     if scheme == "explicit":
-        ids = set(scenario.geometry.ids)
+        ids = set(geometry.ids)
         missing, extra = ids - set(gammas), set(gammas) - ids
         if missing:
             raise ScenarioError("gammas", f"missing element ids {sorted(missing)}")

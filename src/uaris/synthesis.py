@@ -27,9 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PlaneWave, unit_vector, wrap_angle
+from .core import PlaneWave, unit_vector, wrap_angle, wrap_angles
 from .geometry import ArrayGeometry, incident_phases, pair_reflectors
-from .hardware import HardwareCatalog, LoadState, quantize_gamma
+from .hardware import HardwareCatalog, LoadState, nearest_states
 
 __all__ = [
     "SingularPairingError",
@@ -244,18 +244,12 @@ def configure_coded(
             (-math.pi / 2, -0.9j),
         ]
     t_dir = unit_vector(target_dir)
-    k = incident.wavenumber
-    d_inc = incident.direction
-    gammas: dict[int, complex] = {}
-    for eid, position in zip(geometry.ids, geometry.positions):
-        theta = _ideal_phase(position, k, t_dir, d_inc)
-        best = min(
-            (
-                (abs(wrap_angle(theta - phase)), rank, g)
-                for rank, (phase, g) in enumerate(candidates)
-            ),
-        )
-        gammas[eid] = best[2]
+    projection = geometry.positions @ (t_dir - incident.direction)
+    theta = wrap_angles(-incident.wavenumber * projection)
+    phases = np.array([phase for phase, _ in candidates])
+    # argmin takes the first minimum, i.e. the preferred candidate on ties.
+    best = np.argmin(np.abs(wrap_angles(theta[:, None] - phases)), axis=1)
+    gammas = {eid: candidates[i][1] for eid, i in zip(geometry.ids, best.tolist())}
     return GammaAssignment(gammas, scheme)
 
 
@@ -288,17 +282,14 @@ def configure(
 def quantize_assignment(
     assignment: GammaAssignment, catalog: HardwareCatalog
 ) -> GammaAssignment:
-    """Quantize every coefficient of an assignment onto the hardware catalog."""
-    states: dict[int, LoadState] = {}
-    quantized: dict[int, complex] = {}
-    for eid, g in assignment.gammas.items():
-        state, gq = quantize_gamma(g, catalog)
-        states[eid] = state
-        quantized[eid] = gq
+    """Quantize every coefficient of an assignment onto the hardware catalog,
+    in one nearest-state search over all of them."""
+    eids = list(assignment.gammas)
+    states, quantized = nearest_states(list(assignment.gammas.values()), catalog)
     return GammaAssignment(
         dict(assignment.gammas),
         assignment.scheme,
-        quantized_states=states,
-        quantized_gammas=quantized,
+        quantized_states=dict(zip(eids, states)),
+        quantized_gammas=dict(zip(eids, quantized)),
         unpaired=assignment.unpaired,
     )

@@ -129,6 +129,65 @@ class TestArrayFactor:
         assert np.allclose(dirs[1], [0, 1, 0], atol=1e-12)
 
 
+def dense_response(geo, gammas, wave, plane, angles):
+    """Reference: the dense sum over every element and probe angle."""
+    pos = geo.positions
+    gam = np.array([gammas[i] for i in geo.ids])
+    phase = wave.wavenumber * (pos @ (sweep_directions(plane, angles) - wave.direction).T)
+    return (gam[:, None] * np.exp(1j * phase)).sum(axis=0)
+
+
+class TestLatticeArrayFactor:
+    """The separable lattice path agrees with the dense sum."""
+
+    ANGLES = np.arange(0.0, 360.0, 0.5)
+    WAVE = PlaneWave(F0, propagation_dir=(0.3, -0.2, -0.933))
+
+    def check(self, geo, gammas, plane="yz"):
+        assert geo.lattice is not None
+        got = array_factor(geo, explicit(gammas), self.WAVE, plane, self.ANGLES).response
+        ref = dense_response(geo, gammas, self.WAVE, plane, self.ANGLES)
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @staticmethod
+    def random_gammas(rng, ids):
+        return {i: complex(*rng.uniform(-0.6, 0.6, 2)) for i in ids}
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_xy_grids(self, seed):
+        rng = np.random.default_rng(seed)
+        rows, cols = rng.integers(1, 20, 2)
+        geo = ArrayGeometry.grid(int(rows), int(cols), rng.uniform(0.2, 2.0) * LAM)
+        self.check(geo, self.random_gammas(rng, geo.ids), plane=("yz", "xz", "xy")[seed % 3])
+
+    def test_permuted_grid(self):
+        rng = np.random.default_rng(21)
+        grid = ArrayGeometry.grid(7, 5, 0.6 * LAM)
+        geo = ArrayGeometry([grid.elements[i] for i in rng.permutation(35)])
+        gam = self.random_gammas(rng, geo.ids)
+        self.check(geo, gam)
+        p1 = array_factor(grid, explicit(gam), self.WAVE, "yz", self.ANGLES)
+        p2 = array_factor(geo, explicit(gam), self.WAVE, "yz", self.ANGLES)
+        assert np.array_equal(p1.response, p2.response)
+
+    def test_translated_grid(self):
+        rng = np.random.default_rng(22)
+        geo = ArrayGeometry.grid(6, 9, 0.5 * LAM).translated((1.23, -4.5, 0.7))
+        self.check(geo, self.random_gammas(rng, geo.ids))
+
+    def test_grid_in_yz_plane(self):
+        rng = np.random.default_rng(23)
+        geo = ArrayGeometry(
+            [
+                ReflectorElement(r * 8 + c, (0.4, c * 0.7 * LAM, r * 0.7 * LAM))
+                for r in range(5)
+                for c in range(8)
+            ],
+            normal=(1.0, 0.0, 0.0),
+        )
+        self.check(geo, self.random_gammas(rng, geo.ids))
+
+
 class TestBeamPatternType:
     def test_needs_three_samples(self):
         with pytest.raises(ValueError):

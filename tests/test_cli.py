@@ -4,6 +4,9 @@ import copy
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -222,6 +225,34 @@ class TestSteerCommand:
         assert code == 2
         assert f"error: {field}: " in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "ids", [["a", "b", "c", "d"], [True, False, 2, 3], [0.0, 1.0, 2.0, 3.0], "0123"],
+        ids=["strings", "bools", "floats", "not-a-list"],
+    )
+    def test_non_integer_ids_exit_2(self, ids, scenario_file, tmp_path, capsys):
+        doc = copy.deepcopy(BASE_SCENARIO)
+        doc["array"] = {"positions": [[0.1 * i, 0, 0] for i in range(4)], "ids": ids}
+        code = main(
+            ["steer", "--scenario", str(scenario_file(doc)), "--out", str(tmp_path / "o")]
+        )
+        assert code == 2
+        assert "error: array.ids: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("quantize", [False, True], ids=["ideal", "quantize"])
+    def test_clipped_main_lobe_exits_3_without_artifacts(
+        self, quantize, tmp_path, capsys
+    ):
+        # A 2-degree sweep cannot hold the main lobe's half-power crossings.
+        doc = json.loads((REPO_SCENARIOS / "steer_225.json").read_text())
+        doc["sweep"] = {"plane": "yz", "start_deg": 224.0, "stop_deg": 226.0, "step_deg": 0.5}
+        path = tmp_path / "narrow.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "o"
+        flags = ["--quantize"] if quantize else []
+        assert main(["steer", "--scenario", str(path), "--out", str(out)] + flags) == 3
+        assert "solver error: sweep: " in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
     def test_quantize_emits_quantized_views(self, tmp_path):
         out = tmp_path / "out"
         code = run_scenario(REPO_SCENARIOS / "steer_225.json", out, quantize=True)
@@ -297,6 +328,15 @@ class TestCompareCommand:
         assert main(argv + ["--schemes", schemes]) == 2
         assert f"error: {field}:" in capsys.readouterr().err
 
+    def test_clipped_main_lobe_exits_3_without_artifacts(self, scenario_file, tmp_path, capsys):
+        doc = copy.deepcopy(BASE_SCENARIO)
+        doc["sweep"] = {"plane": "yz", "start_deg": 224.0, "stop_deg": 226.0, "step_deg": 0.5}
+        out = tmp_path / "o"
+        code = main(["compare", "--scenario", str(scenario_file(doc)), "--out", str(out)])
+        assert code == 3
+        assert "solver error: sweep: " in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
     def test_quantize_without_catalog_exits_2(self, scenario_file, tmp_path, capsys):
         path = scenario_file(BASE_SCENARIO)  # no catalog section
         code = main(
@@ -304,6 +344,40 @@ class TestCompareCommand:
         )
         assert code == 2
         assert "catalog" in capsys.readouterr().err
+
+
+class TestArrayValidatedForEveryCommand:
+    @pytest.mark.parametrize("command", ["link", "power", "tank", "catalog"])
+    def test_zero_rows_exit_2_naming_array(self, command, scenario_file, tmp_path, capsys):
+        doc = copy.deepcopy(BASE_SCENARIO)
+        doc["array"] = {"rows": 0, "cols": 2, "spacing_wavelengths": 0.5}
+        doc["tank"] = {"random_taps": 4}
+        code = main([command, "--scenario", str(scenario_file(doc)), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "error: array: " in capsys.readouterr().err
+
+
+class TestDeterminism:
+    def test_large_compare_independent_of_blas_threads(self, scenario_file, tmp_path):
+        # A 64x64 lattice takes the separable array factor (a complex matrix
+        # product); its artifacts must not depend on the BLAS thread count.
+        doc = copy.deepcopy(BASE_SCENARIO)
+        doc["array"] = {"rows": 64, "cols": 64, "spacing_wavelengths": 0.5}
+        doc["sweep"] = {"plane": "yz", "start_deg": 180.0, "stop_deg": 360.0, "step_deg": 0.25}
+        doc["catalog"] = {}
+        del doc["link"], doc["power"]
+        path = scenario_file(doc)
+        src = Path(__file__).resolve().parent.parent / "src"
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"out{threads}"
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": str(src)}
+            argv = ["compare", "--scenario", str(path), "--out", str(out)]
+            argv += ["--schemes", "synthetic,1bit,2bit", "--quantize"]
+            subprocess.run([sys.executable, "-m", "uaris.cli", *argv], env=env, check=True)
+            outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+        assert len(outputs[0]) == 4
+        assert outputs[0] == outputs[1]
 
 
 class TestSubcommandFlags:

@@ -66,6 +66,23 @@ class TestArrayGeometry:
         with pytest.raises(ValueError):
             geo.positions[0, 0] = 1.0
 
+    def test_lattice_of_a_grid(self):
+        geo = ArrayGeometry.grid(3, 4, 0.5)
+        lattice = geo.lattice
+        assert [len(v) for v in lattice.axes] == [4, 3, 1]
+        assert lattice.cells.tolist()[5] == [1, 1, 0]  # id 5 = row 1, col 1
+        assert geo.lattice is lattice  # derived once
+
+    def test_lattice_none_for_non_product_layout(self):
+        # An L shape: three x values and two y values, but only 4 of 6 cells.
+        geo = ArrayGeometry(elements((0, 0, 0), (1, 0, 0), (2, 0, 0), (0, 1, 0)))
+        assert geo.lattice is None
+
+    def test_lattice_none_for_shared_cell(self):
+        # Four elements on a 2x2 grid's worth of coordinates, two in one cell.
+        geo = ArrayGeometry(elements((0, 0, 0), (1, 1, 0), (0, 0, 0), (1, 1, 0)))
+        assert geo.lattice is None
+
     def test_unknown_id(self):
         geo = ArrayGeometry.grid(1, 2, 0.5)
         with pytest.raises(KeyError):

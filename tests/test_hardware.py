@@ -3,6 +3,7 @@ quantization."""
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -13,6 +14,7 @@ from uaris.hardware import (
     quantize_gamma,
     reflection_coefficient,
 )
+from uaris.synthesis import GammaAssignment, quantize_assignment
 
 
 class TestReflectionCoefficient:
@@ -183,3 +185,54 @@ class TestQuantize:
         state, gamma = quantize_gamma(0j, cat)
         assert state.kind == "potentiometer"
         assert gamma == 0.5
+
+
+def brute_force_nearest(target, catalog):
+    """Reference: the documented key over the catalog, element by element."""
+    best = min(
+        (abs(g - target), abs(g), state.is_reactive, idx, state, g)
+        for idx, (state, g) in enumerate(catalog_gammas(catalog))
+    )
+    return best[4], best[5]
+
+
+class TestVectorisedQuantize:
+    """The cached-table search equals the brute-force reference, ties included."""
+
+    CATALOGS = (
+        HardwareCatalog(),
+        HardwareCatalog(potentiometer_steps=16, cap_stage_gammas=(-0.25j, -0.75j)),
+        # Pot taps at +0.5 and +0.8 beside a -0.5j stage: target 0 ties a
+        # resistive and a reactive state of equal magnitude.
+        HardwareCatalog(
+            wiper_resistance=3000.0,
+            max_resistance=9000.0,
+            potentiometer_steps=2,
+            cap_stage_gammas=(-0.5j,),
+            ind_stage_gammas=(),
+        ),
+    )
+
+    @staticmethod
+    def targets(catalog):
+        rng = np.random.default_rng(17)
+        points = [g for _, g in catalog_gammas(catalog)]
+        random = rng.uniform(-1.2, 1.2, (500, 2)) @ np.array([1, 1j])
+        midpoints = [(a + b) / 2 for a, b in zip(points, points[1:])]
+        ties = [0.45j, -0.45j, 0.15j, -0.5j, 0.5, 0j, 1.5, -1.5, 1.5j]
+        return list(random) + points + midpoints + ties
+
+    @pytest.mark.parametrize("catalog", CATALOGS, ids=["default", "coarse", "tie"])
+    def test_quantize_gamma_matches_reference(self, catalog):
+        for t in self.targets(catalog):
+            assert quantize_gamma(t, catalog) == brute_force_nearest(complex(t), catalog)
+
+    @pytest.mark.parametrize("catalog", CATALOGS, ids=["default", "coarse", "tie"])
+    def test_quantize_assignment_matches_reference(self, catalog):
+        targets = [t for t in self.targets(catalog) if abs(t) <= 1]
+        assignment = GammaAssignment({i: complex(t) for i, t in enumerate(targets)}, "explicit")
+        quantized = quantize_assignment(assignment, catalog)
+        for i, t in enumerate(targets):
+            state, gamma = brute_force_nearest(complex(t), catalog)
+            assert quantized.quantized_states[i] == state
+            assert quantized.quantized_gammas[i] == gamma
